@@ -193,15 +193,19 @@ pub(crate) struct BcFunc {
     pub(crate) param_count: u32,
 }
 
-/// Module-level layout the interpreter computes per VM: global
-/// addresses, initializer blits, and segment high-water marks. The
-/// layout depends only on the module (never on `VmConfig`), so it is
-/// computed once here and reused by both backends.
-#[derive(Debug, Clone, Default)]
+/// The loader image of a module: global addresses, the read-only
+/// image, and the data initializers. It depends only on the module
+/// (never on `VmConfig`), so it is computed once per compiled module
+/// and shared, behind an `Arc`, by every VM spawned from it.
+#[derive(Debug)]
 pub(crate) struct GlobalLayout {
     pub(crate) addrs: Vec<u64>,
-    pub(crate) blits: Vec<(u64, Vec<u8>)>,
-    pub(crate) rodata_used: u64,
+    /// Every read-only global (string literals, the serialized P-BOX)
+    /// at its offset from `RODATA_BASE`; its length is the rodata
+    /// high-water mark.
+    pub(crate) rodata: Arc<[u8]>,
+    /// Initializers of the writable globals, by address.
+    pub(crate) data_blits: Vec<(u64, Vec<u8>)>,
     pub(crate) data_used: u64,
 }
 
@@ -210,31 +214,42 @@ pub(crate) struct GlobalLayout {
 /// `DATA_BASE + 8` (the first eight data bytes hold the pseudo-PRNG
 /// state), each aligned to its type.
 pub(crate) fn layout_globals(module: &Module) -> GlobalLayout {
-    let mut l = GlobalLayout {
-        addrs: Vec::with_capacity(module.globals.len()),
-        ..GlobalLayout::default()
-    };
-    let mut ro_cursor = layout::RODATA_BASE;
+    let mut addrs = Vec::with_capacity(module.globals.len());
+    let mut rodata = Vec::new();
+    let mut data_blits = Vec::new();
     let mut data_cursor = layout::DATA_BASE + 8;
     for g in &module.globals {
-        let cursor = if g.readonly {
-            &mut ro_cursor
-        } else {
-            &mut data_cursor
-        };
-        *cursor = smokestack_ir::align_to(*cursor, g.ty.align().max(1));
-        let addr = *cursor;
-        l.addrs.push(addr);
+        let align = g.ty.align().max(1);
         let size = g.ty.size();
-        if let GlobalInit::Bytes(b) = &g.init {
-            assert!(b.len() as u64 <= size, "initializer larger than global");
-            l.blits.push((addr, b.clone()));
+        let init = match &g.init {
+            GlobalInit::Bytes(b) => {
+                assert!(b.len() as u64 <= size, "initializer larger than global");
+                Some(b)
+            }
+            GlobalInit::Zero => None,
+        };
+        if g.readonly {
+            let off = smokestack_ir::align_to(rodata.len() as u64, align) as usize;
+            addrs.push(layout::RODATA_BASE + off as u64);
+            rodata.resize(off + size as usize, 0);
+            if let Some(b) = init {
+                rodata[off..off + b.len()].copy_from_slice(b);
+            }
+        } else {
+            data_cursor = smokestack_ir::align_to(data_cursor, align);
+            addrs.push(data_cursor);
+            if let Some(b) = init {
+                data_blits.push((data_cursor, b.clone()));
+            }
+            data_cursor += size;
         }
-        *cursor += size;
     }
-    l.rodata_used = ro_cursor - layout::RODATA_BASE;
-    l.data_used = data_cursor - layout::DATA_BASE;
-    l
+    GlobalLayout {
+        addrs,
+        rodata: rodata.into(),
+        data_blits,
+        data_used: data_cursor - layout::DATA_BASE,
+    }
 }
 
 /// A module lowered to bytecode, plus every module-level prescan a VM
@@ -247,7 +262,7 @@ pub struct CompiledModule {
     pub(crate) module: Arc<Module>,
     pub(crate) cost_fp: u64,
     pub(crate) funcs: Vec<BcFunc>,
-    pub(crate) globals: GlobalLayout,
+    pub(crate) globals: Arc<GlobalLayout>,
     /// Per-function slab class under the cost model this was compiled
     /// with (drives the stack-access discount/penalty).
     pub(crate) slab_classes: Vec<SlabClass>,
@@ -500,7 +515,7 @@ pub(crate) fn classify_slabs(module: &Module, cost: &CostModel) -> Vec<SlabClass
 
 /// Lower `module` under `cost`. Prefer [`compiled_for`], which memoizes.
 pub fn compile_module(module: Arc<Module>, cost: &CostModel) -> CompiledModule {
-    let globals = layout_globals(&module);
+    let globals = Arc::new(layout_globals(&module));
     let mut alloca_names = Vec::new();
     let mut name_ids = HashMap::new();
     let funcs = module

@@ -53,6 +53,16 @@ pub enum FaultKind {
     /// Every thread is blocked (joins or mutexes that can never
     /// resolve) — the scheduler has nothing to run.
     Deadlock,
+    /// The run named an entry function the module does not define, or
+    /// passed it the wrong number of arguments; nothing executed.
+    BadEntry {
+        /// The requested entry function.
+        entry: String,
+        /// Its parameter count (`None`: no function of that name).
+        params: Option<usize>,
+        /// Arguments supplied.
+        args: usize,
+    },
 }
 
 impl FaultKind {
@@ -96,6 +106,16 @@ impl std::fmt::Display for FaultKind {
             FaultKind::UnreachableExecuted => write!(f, "unreachable executed"),
             FaultKind::DataRace { addr } => write!(f, "data race at {addr:#x}"),
             FaultKind::Deadlock => write!(f, "deadlock: no runnable thread"),
+            FaultKind::BadEntry {
+                entry,
+                params: None,
+                ..
+            } => write!(f, "no function named `{entry}`"),
+            FaultKind::BadEntry {
+                entry,
+                params: Some(p),
+                args,
+            } => write!(f, "entry `{entry}` takes {p} arguments, got {args}"),
         }
     }
 }
@@ -306,6 +326,19 @@ struct Frame {
     canary_calls: u32,
 }
 
+/// Install the writable half of the loader image: the data-segment
+/// initializers, the data high-water mark, and the memory-resident
+/// pseudo-PRNG state in the first 8 data bytes. Rodata needs no
+/// loading — it is the shared image `mem` was constructed over.
+fn load_data(mem: &mut Memory, globals: &GlobalLayout, pseudo_seed: u64) {
+    for (addr, bytes) in &globals.data_blits {
+        mem.write(*addr, bytes).expect("global fits segment");
+    }
+    mem.set_data_used(globals.data_used);
+    mem.write(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
+        .expect("pseudo state slot");
+}
+
 /// The virtual machine: owns a loaded module image and executes it.
 ///
 /// The module is held behind an [`Arc`], so spawning many VMs over the
@@ -324,11 +357,10 @@ pub struct Vm {
     pub(crate) stack_base_offset: u64,
     pub(crate) fuel: u64,
     pub(crate) record_allocas: bool,
-    pub(crate) global_addrs: Vec<u64>,
-    /// The full global layout (addresses + initializer blits), retained
-    /// so [`Vm::respawn`] can re-install the loader image without
-    /// touching the module or the compiled cache.
-    pub(crate) globals: GlobalLayout,
+    /// The loader image (global addresses, shared rodata, data
+    /// initializers), retained so [`Vm::respawn`] can re-install the
+    /// data half without touching the module or the compiled cache.
+    pub(crate) globals: Arc<GlobalLayout>,
     pub(crate) slab_funcs: Vec<crate::cycles::SlabClass>,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
     /// Cached [`Tracer::wants_cycles`] answer, sampled once at
@@ -407,22 +439,14 @@ impl Vm {
         let pseudo_seed = trng.next_u64();
         let rng = build_source(cfg.scheme, trng);
 
-        let mut mem = Memory::new(cfg.mem);
-        // Lay out globals (shared with the bytecode image: the layout
-        // depends only on the module, never on the config).
-        let gl: GlobalLayout = match &compiled {
-            Some(c) => c.globals.clone(),
-            None => layout_globals(&module),
+        // The loader image is the compiled module's (shared by every VM
+        // spawned from it); the interpreter lays the module out itself.
+        let globals = match &compiled {
+            Some(c) => Arc::clone(&c.globals),
+            None => Arc::new(layout_globals(&module)),
         };
-        for (addr, bytes) in &gl.blits {
-            mem.write_init(*addr, bytes).expect("global fits segment");
-        }
-        mem.set_rodata_used(gl.rodata_used);
-        mem.set_data_used(gl.data_used);
-        // First 8 bytes of data hold the memory-resident pseudo-PRNG state.
-        mem.write_init(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
-            .expect("pseudo state slot");
-        let global_addrs = gl.addrs.clone();
+        let mut mem = Memory::with_rodata(cfg.mem, Arc::clone(&globals.rodata));
+        load_data(&mut mem, &globals, pseudo_seed);
 
         let slab_funcs = match &compiled {
             Some(c) => c.slab_classes.clone(),
@@ -451,8 +475,7 @@ impl Vm {
             stack_base_offset: cfg.stack_base_offset,
             fuel: cfg.fuel,
             record_allocas: cfg.record_allocas,
-            global_addrs,
-            globals: gl,
+            globals,
             slab_funcs,
             tracer,
             tracer_wants_cycles,
@@ -509,16 +532,7 @@ impl Vm {
         self.stack_base_offset = stack_base_offset;
 
         self.mem.reset();
-        for (addr, bytes) in &self.globals.blits {
-            self.mem
-                .write_init(*addr, bytes)
-                .expect("global fits segment");
-        }
-        self.mem.set_rodata_used(self.globals.rodata_used);
-        self.mem.set_data_used(self.globals.data_used);
-        self.mem
-            .write_init(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
-            .expect("pseudo state slot");
+        load_data(&mut self.mem, &self.globals, pseudo_seed);
 
         self.heap_next = 0;
         self.free_lists.clear();
@@ -600,7 +614,7 @@ impl Vm {
             .iter()
             .position(|g| g.name == name)
             .unwrap_or_else(|| panic!("no global named {name}"));
-        self.global_addrs[idx]
+        self.globals.addrs[idx]
     }
 
     /// Run `main` with no arguments and scripted (possibly empty) input.
@@ -615,64 +629,28 @@ impl Vm {
         self.run_with("main", &[], input)
     }
 
-    /// Run the named entry function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the function does not exist or the argument count is
-    /// wrong.
+    /// Run the named entry function. A missing entry or a wrong
+    /// argument count ends the run with [`FaultKind::BadEntry`].
     pub fn run(&mut self, entry: &str, args: &[u64], mut input: impl InputSource) -> RunOutcome {
         self.run_with(entry, args, &mut input)
     }
 
     /// [`Vm::run`] for an already-borrowed input source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the function does not exist or the argument count is
-    /// wrong.
     pub fn run_with(
         &mut self,
         entry: &str,
         args: &[u64],
         input: &mut dyn InputSource,
     ) -> RunOutcome {
-        let fid = self
-            .module
-            .func_by_name(entry)
-            .unwrap_or_else(|| panic!("no function named {entry}"));
-        let f = self.module.func(fid);
-        assert_eq!(f.params.len(), args.len(), "entry argument count");
-        let entry_reg_count = f.reg_count();
         self.sp = layout::STACK_TOP - layout::STACK_START_GAP - self.stack_base_offset;
         self.sp &= !0xf;
         self.stack_limit = self.mem.stack_base();
         self.next_preempt = u64::MAX;
         self.pending_block = false;
         self.sched = None;
-        self.max_depth = 1;
-        self.emit(Event::FuncEnter {
-            func: fid.0,
-            depth: 1,
-        });
-        let exit = match self.backend {
-            ExecBackend::Bytecode => crate::dispatch::run_compiled(self, fid, args, input),
-            ExecBackend::Interp => {
-                let mut regs = vec![0u64; entry_reg_count];
-                regs[..args.len()].copy_from_slice(args);
-                let mut frames = vec![Frame {
-                    func: fid,
-                    regs,
-                    block: Function::ENTRY,
-                    idx: 0,
-                    entry_sp: self.sp,
-                    ret_reg: None,
-                    low_sp: self.sp,
-                    guard_calls: 0,
-                    canary_calls: 0,
-                }];
-                self.exec_loop(&mut frames, input)
-            }
+        let exit = match self.entry_func(entry, args) {
+            Ok(fid) => self.enter(fid, args, input),
+            Err(fault) => Exit::Fault(fault),
         };
         if self.tracer.is_some() {
             if let Exit::Fault(f) = &exit {
@@ -701,6 +679,49 @@ impl Vm {
             alloca_trace: std::mem::take(&mut self.alloca_trace),
             per_function,
             sched_digest: self.sched_digest(),
+        }
+    }
+
+    /// Resolve `entry` and check its arity against `args`.
+    fn entry_func(&self, entry: &str, args: &[u64]) -> Result<FuncId, FaultKind> {
+        let bad = |params| FaultKind::BadEntry {
+            entry: entry.to_string(),
+            params,
+            args: args.len(),
+        };
+        let fid = self.module.func_by_name(entry).ok_or_else(|| bad(None))?;
+        let params = self.module.func(fid).params.len();
+        if params != args.len() {
+            return Err(bad(Some(params)));
+        }
+        Ok(fid)
+    }
+
+    /// Execute `fid` as the run's entry frame on the configured backend.
+    fn enter(&mut self, fid: FuncId, args: &[u64], input: &mut dyn InputSource) -> Exit {
+        self.max_depth = 1;
+        self.emit(Event::FuncEnter {
+            func: fid.0,
+            depth: 1,
+        });
+        match self.backend {
+            ExecBackend::Bytecode => crate::dispatch::run_compiled(self, fid, args, input),
+            ExecBackend::Interp => {
+                let mut regs = vec![0u64; self.module.func(fid).reg_count()];
+                regs[..args.len()].copy_from_slice(args);
+                let mut frames = vec![Frame {
+                    func: fid,
+                    regs,
+                    block: Function::ENTRY,
+                    idx: 0,
+                    entry_sp: self.sp,
+                    ret_reg: None,
+                    low_sp: self.sp,
+                    guard_calls: 0,
+                    canary_calls: 0,
+                }];
+                self.exec_loop(&mut frames, input)
+            }
         }
     }
 
@@ -894,7 +915,7 @@ impl Vm {
         match v {
             Value::Reg(r) => fr.regs[r.0 as usize],
             Value::ConstInt(c, w) => w.truncate(*c as u64),
-            Value::Global(g) => self.global_addrs[g.0 as usize],
+            Value::Global(g) => self.globals.addrs[g.0 as usize],
             Value::Func(f) => layout::CODE_BASE + 16 * f.0 as u64,
             Value::NullPtr => 0,
         }
@@ -1238,17 +1259,14 @@ impl Vm {
             }
             Intrinsic::Memcpy => {
                 let (dst, src, n) = (argv[0], argv[1], argv[2]);
-                let bytes = self.mem.read(src, n).map_err(FaultKind::Mem)?.to_vec();
-                self.mem.write(dst, &bytes).map_err(FaultKind::Mem)?;
+                self.mem.copy(dst, src, n).map_err(FaultKind::Mem)?;
                 let c = self.cost.bulk_cost(which, n);
                 self.charge(CycleCategory::Bulk, c);
                 Ok(None)
             }
             Intrinsic::Memset => {
                 let (dst, byte, n) = (argv[0], argv[1] as u8, argv[2]);
-                self.mem
-                    .write(dst, &vec![byte; n as usize])
-                    .map_err(FaultKind::Mem)?;
+                self.mem.fill(dst, byte, n).map_err(FaultKind::Mem)?;
                 let c = self.cost.bulk_cost(which, n);
                 self.charge(CycleCategory::Bulk, c);
                 Ok(None)
@@ -1275,7 +1293,7 @@ impl Vm {
                             b's' => {
                                 let sl = self.mem.strlen(arg).map_err(FaultKind::Mem)?;
                                 let s = self.mem.read(arg, sl).map_err(FaultKind::Mem)?;
-                                out.extend_from_slice(s);
+                                out.extend_from_slice(&s);
                                 i += 2;
                                 continue;
                             }

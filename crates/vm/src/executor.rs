@@ -332,12 +332,9 @@ impl Executor {
         self.vm_seeded(trng_seed).run_main_with(input)
     }
 
-    /// Run an arbitrary entry function once with the session defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the function does not exist or the argument count is
-    /// wrong.
+    /// Run an arbitrary entry function once with the session defaults
+    /// (a missing entry or wrong argument count is a
+    /// [`crate::FaultKind::BadEntry`] fault).
     pub fn run(&self, entry: &str, args: &[u64], mut input: impl InputSource) -> RunOutcome {
         self.vm().run_with(entry, args, &mut input)
     }

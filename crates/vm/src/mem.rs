@@ -6,7 +6,9 @@
 //! exactly like native code. That property is what makes the DOP attacks
 //! in `smokestack-attacks` (and their defeat by Smokestack) meaningful.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Address-space map. Segments are widely separated so that overflows
 /// within a segment behave natively while wild pointers fault.
@@ -29,13 +31,28 @@ pub mod layout {
     pub const STACK_START_GAP: u64 = 4096;
 }
 
-/// A contiguous memory region.
+/// Whether `addr..addr+len` lies inside `base..end`.
+fn spans(base: u64, end: u64, addr: u64, len: u64) -> bool {
+    addr >= base && addr.checked_add(len).is_some_and(|e| e <= end)
+}
+
+/// Fill `out` with the rodata bytes at `addr`: the image, then zeros
+/// past its end (the rest of the rodata capacity reads as zero).
+fn rodata_into(image: &[u8], addr: u64, out: &mut [u8]) {
+    let head = image
+        .get((addr - layout::RODATA_BASE) as usize..)
+        .unwrap_or_default();
+    let n = head.len().min(out.len());
+    out[..n].copy_from_slice(&head[..n]);
+    out[n..].fill(0);
+}
+
+/// A contiguous writable memory region.
 #[derive(Debug, Clone)]
-pub struct Segment {
+struct Segment {
     name: &'static str,
     base: u64,
     bytes: Vec<u8>,
-    writable: bool,
     /// Dirty-range watermarks (byte offsets into `bytes`): every write
     /// widens `dirty_lo..dirty_hi`, and [`Segment::wipe`] zeroes only
     /// that span. `dirty_lo > dirty_hi` means the segment is clean, so
@@ -48,30 +65,24 @@ pub struct Segment {
 
 impl Segment {
     /// Create a zero-filled segment.
-    pub fn new(name: &'static str, base: u64, size: usize, writable: bool) -> Segment {
+    fn new(name: &'static str, base: u64, size: usize) -> Segment {
         Segment {
             name,
             base,
             bytes: vec![0; size],
-            writable,
             dirty_lo: usize::MAX,
             dirty_hi: 0,
         }
     }
 
-    /// Lowest valid address.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// One past the highest valid address.
-    pub fn end(&self) -> u64 {
+    fn end(&self) -> u64 {
         self.base + self.bytes.len() as u64
     }
 
     /// Whether `addr..addr+len` lies inside this segment.
-    pub fn contains(&self, addr: u64, len: u64) -> bool {
-        addr >= self.base && addr.checked_add(len).is_some_and(|e| e <= self.end())
+    fn contains(&self, addr: u64, len: u64) -> bool {
+        spans(self.base, self.end(), addr, len)
     }
 
     fn slice(&self, addr: u64, len: u64) -> &[u8] {
@@ -79,12 +90,26 @@ impl Segment {
         &self.bytes[off..off + len as usize]
     }
 
-    fn slice_mut(&mut self, addr: u64, len: u64) -> &mut [u8] {
+    /// Byte offsets of `addr..addr+len`, widened into the dirty span.
+    fn dirty(&mut self, addr: u64, len: u64) -> std::ops::Range<usize> {
         let off = (addr - self.base) as usize;
         let end = off + len as usize;
         self.dirty_lo = self.dirty_lo.min(off);
         self.dirty_hi = self.dirty_hi.max(end);
-        &mut self.bytes[off..end]
+        off..end
+    }
+
+    fn slice_mut(&mut self, addr: u64, len: u64) -> &mut [u8] {
+        let range = self.dirty(addr, len);
+        &mut self.bytes[range]
+    }
+
+    /// Copy `len` bytes from `src` to `dst`, both inside this segment
+    /// (overlap allowed, like `memmove`).
+    fn copy_within(&mut self, dst: u64, src: u64, len: u64) {
+        let to = self.dirty(dst, len).start;
+        let from = (src - self.base) as usize;
+        self.bytes.copy_within(from..from + len as usize, to);
     }
 
     /// Zero every byte written since construction (or the last wipe).
@@ -97,7 +122,6 @@ impl Segment {
         self.dirty_hi = 0;
     }
 }
-
 /// Where a faulting address sits relative to the segment map — the
 /// context that makes a fault message readable without a debugger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,9 +198,18 @@ impl fmt::Display for MemFault {
 impl std::error::Error for MemFault {}
 
 /// The whole simulated address space.
+///
+/// Rodata is not a segment buffer: it is the loaded module's read-only
+/// image (string literals, the P-BOX), built once per compiled module
+/// and shared by every VM spawned from it. Nothing writes it after the
+/// loader built it — program and attacker writes fault — so reset and
+/// respawn never touch it. Reads past the image but inside the
+/// configured rodata capacity see zeros.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    rodata: Segment,
+    rodata: Arc<[u8]>,
+    /// Rodata capacity in bytes (the mapped extent, not the image).
+    rodata_size: u64,
     data: Segment,
     heap: Segment,
     stack: Segment,
@@ -184,13 +217,11 @@ pub struct Memory {
     stack_low_water: u64,
     /// Highest heap offset ever handed out.
     heap_high_water: u64,
-    /// Rodata bytes actually occupied by the loaded image.
-    rodata_used: u64,
     /// Data bytes actually occupied by the loaded image.
     data_used: u64,
 }
 
-/// Sizes for the writable segments.
+/// Sizes for the segments.
 #[derive(Debug, Clone, Copy)]
 pub struct MemConfig {
     /// Rodata capacity in bytes.
@@ -215,55 +246,69 @@ impl Default for MemConfig {
 }
 
 impl Memory {
-    /// Allocate the address space.
+    /// Allocate an address space with an empty rodata image.
     pub fn new(cfg: MemConfig) -> Memory {
+        Memory::with_rodata(cfg, Arc::from([]))
+    }
+
+    /// Allocate an address space whose rodata is `image`, mapped at
+    /// [`layout::RODATA_BASE`]. The image is shared, not copied.
+    pub fn with_rodata(cfg: MemConfig, image: Arc<[u8]>) -> Memory {
         Memory {
-            rodata: Segment::new("rodata", layout::RODATA_BASE, cfg.rodata_size, false),
-            data: Segment::new("data", layout::DATA_BASE, cfg.data_size, true),
-            heap: Segment::new("heap", layout::HEAP_BASE, cfg.heap_size, true),
+            rodata: image,
+            rodata_size: cfg.rodata_size as u64,
+            data: Segment::new("data", layout::DATA_BASE, cfg.data_size),
+            heap: Segment::new("heap", layout::HEAP_BASE, cfg.heap_size),
             stack: Segment::new(
                 "stack",
                 layout::STACK_TOP - cfg.stack_size as u64,
                 cfg.stack_size,
-                true,
             ),
             stack_low_water: layout::STACK_TOP,
             heap_high_water: 0,
-            rodata_used: 0,
             data_used: 0,
         }
     }
 
-    fn segments(&self) -> [&Segment; 4] {
-        [&self.rodata, &self.data, &self.heap, &self.stack]
+    /// The shared read-only image mapped at [`layout::RODATA_BASE`].
+    pub fn rodata_image(&self) -> &Arc<[u8]> {
+        &self.rodata
+    }
+
+    /// Name, base and end of every segment, rodata first.
+    fn extents(&self) -> [(&'static str, u64, u64); 4] {
+        let ro = ("rodata", layout::RODATA_BASE, self.rodata_end());
+        let rw = self.segments().map(|s| (s.name, s.base, s.end()));
+        [ro, rw[0], rw[1], rw[2]]
     }
 
     /// Classify `addr` against the segment map for fault reporting.
     pub fn locate(&self, addr: u64) -> FaultLocus {
-        if let Some(s) = self.segments().into_iter().find(|s| s.contains(addr, 1)) {
+        let extents = self.extents();
+        if let Some(&(segment, base, _)) = extents.iter().find(|(_, b, e)| spans(*b, *e, addr, 1)) {
             return FaultLocus::Within {
-                segment: s.name,
-                offset: addr - s.base,
+                segment,
+                offset: addr - base,
             };
         }
         // Unmapped: report the nearest segment edge.
-        self.segments()
+        extents
             .into_iter()
-            .map(|s| {
-                if addr < s.base {
+            .map(|(segment, base, end)| {
+                if addr < base {
                     (
-                        s.base - addr,
+                        base - addr,
                         FaultLocus::Below {
-                            segment: s.name,
-                            by: s.base - addr,
+                            segment,
+                            by: base - addr,
                         },
                     )
                 } else {
                     (
-                        addr - s.end(),
+                        addr - end,
                         FaultLocus::PastEnd {
-                            segment: s.name,
-                            by: addr - s.end(),
+                            segment,
+                            by: addr - end,
                         },
                     )
                 }
@@ -283,83 +328,129 @@ impl Memory {
         }
     }
 
-    fn segment_for(&self, addr: u64, len: u64) -> Option<&Segment> {
-        [&self.rodata, &self.data, &self.heap, &self.stack]
-            .into_iter()
-            .find(|s| s.contains(addr, len))
+    /// One past the rodata capacity (the image may end well before).
+    fn rodata_end(&self) -> u64 {
+        layout::RODATA_BASE + self.rodata_size
     }
 
-    fn segment_for_mut(&mut self, addr: u64, len: u64) -> Option<&mut Segment> {
-        if self.rodata.contains(addr, len) {
-            Some(&mut self.rodata)
+    fn in_rodata(&self, addr: u64, len: u64) -> bool {
+        spans(layout::RODATA_BASE, self.rodata_end(), addr, len)
+    }
+
+    /// The writable segments, in address order.
+    fn segments(&self) -> [&Segment; 3] {
+        [&self.data, &self.heap, &self.stack]
+    }
+
+    fn segment_for(&self, addr: u64, len: u64) -> Option<&Segment> {
+        self.segments().into_iter().find(|s| s.contains(addr, len))
+    }
+
+    /// The writable segment holding `addr..addr+len`, noting a stack
+    /// touch for peak-RSS accounting.
+    fn writable_for(&mut self, addr: u64, len: u64) -> Option<&mut Segment> {
+        if self.stack.contains(addr, len) {
+            self.stack_low_water = self.stack_low_water.min(addr);
+            Some(&mut self.stack)
         } else if self.data.contains(addr, len) {
             Some(&mut self.data)
         } else if self.heap.contains(addr, len) {
             Some(&mut self.heap)
-        } else if self.stack.contains(addr, len) {
-            Some(&mut self.stack)
         } else {
             None
         }
     }
 
-    /// Read `len` bytes at `addr`.
+    /// `addr..addr+len` borrowed in place: inside one writable segment,
+    /// or inside the rodata capacity and its image.
+    fn borrow(&self, addr: u64, len: u64) -> Option<&[u8]> {
+        if let Some(s) = self.segment_for(addr, len) {
+            return Some(s.slice(addr, len));
+        }
+        if !self.in_rodata(addr, len) {
+            return None;
+        }
+        let off = (addr - layout::RODATA_BASE) as usize;
+        self.rodata.get(off..off + len as usize)
+    }
+
+    /// Read `len` bytes at `addr`. Borrowed unless the range runs past
+    /// the rodata image into its zero-filled tail.
     ///
     /// # Errors
     ///
     /// Faults if the range is not fully inside one segment.
-    pub fn read(&self, addr: u64, len: u64) -> Result<&[u8], MemFault> {
-        match self.segment_for(addr, len) {
-            Some(s) => Ok(s.slice(addr, len)),
-            None => Err(self.fault(addr, len, false)),
+    pub fn read(&self, addr: u64, len: u64) -> Result<Cow<'_, [u8]>, MemFault> {
+        if let Some(b) = self.borrow(addr, len) {
+            return Ok(Cow::Borrowed(b));
         }
+        if !self.in_rodata(addr, len) {
+            return Err(self.fault(addr, len, false));
+        }
+        let mut v = vec![0; len as usize];
+        rodata_into(&self.rodata, addr, &mut v);
+        Ok(Cow::Owned(v))
     }
 
     /// Write bytes at `addr` (program access: respects read-only).
     ///
     /// # Errors
     ///
-    /// Faults if the range is outside all segments or the segment is
-    /// read-only.
+    /// Faults if the range is outside all segments or inside rodata.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
         let len = bytes.len() as u64;
-        if self.stack.contains(addr, len) {
-            self.stack_low_water = self.stack_low_water.min(addr);
-        }
-        let hit = match self.segment_for_mut(addr, len) {
-            Some(s) if s.writable => {
+        match self.writable_for(addr, len) {
+            Some(s) => {
                 s.slice_mut(addr, len).copy_from_slice(bytes);
-                true
+                Ok(())
             }
-            _ => false,
-        };
-        if hit {
-            Ok(())
-        } else {
-            Err(self.fault(addr, len, true))
+            None => Err(self.fault(addr, len, true)),
         }
     }
 
-    /// Loader-only write that may target read-only segments (used to
-    /// install global initializers and the P-BOX image).
+    /// Set `len` bytes at `addr` to `byte` in place (`memset`).
     ///
     /// # Errors
     ///
-    /// Faults if the range is outside all segments.
-    pub fn write_init(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
-        let len = bytes.len() as u64;
-        let hit = match self.segment_for_mut(addr, len) {
+    /// Faults exactly like [`Memory::write`] of the same range, including
+    /// for lengths no segment can hold.
+    pub fn fill(&mut self, addr: u64, byte: u8, len: u64) -> Result<(), MemFault> {
+        match self.writable_for(addr, len) {
             Some(s) => {
-                s.slice_mut(addr, len).copy_from_slice(bytes);
-                true
+                s.slice_mut(addr, len).fill(byte);
+                Ok(())
             }
-            None => false,
-        };
-        if hit {
-            Ok(())
-        } else {
-            Err(self.fault(addr, len, true))
+            None => Err(self.fault(addr, len, true)),
         }
+    }
+
+    /// Copy `len` bytes from `src` to `dst` in place (`memcpy` with
+    /// `memmove` overlap semantics).
+    ///
+    /// # Errors
+    ///
+    /// Faults like [`Memory::read`] of the source range, else like
+    /// [`Memory::write`] of the destination range.
+    pub fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), MemFault> {
+        let from = self.segments().iter().position(|s| s.contains(src, len));
+        if from.is_none() && !self.in_rodata(src, len) {
+            return Err(self.fault(src, len, false));
+        }
+        if self.writable_for(dst, len).is_none() {
+            return Err(self.fault(dst, len, true));
+        }
+        let to = self.segments().iter().position(|s| s.contains(dst, len));
+        let to = to.expect("destination checked above");
+        let mut segs = [&mut self.data, &mut self.heap, &mut self.stack];
+        match from {
+            Some(from) if from == to => segs[to].copy_within(dst, src, len),
+            Some(from) => {
+                let [from, to] = segs.get_disjoint_mut([from, to]).expect("distinct");
+                to.slice_mut(dst, len).copy_from_slice(from.slice(src, len));
+            }
+            None => rodata_into(&self.rodata, src, segs[to].slice_mut(dst, len)),
+        }
+        Ok(())
     }
 
     /// Read an unsigned little-endian integer of `len` bytes (1/2/4/8).
@@ -368,12 +459,17 @@ impl Memory {
     ///
     /// Faults like [`Memory::read`].
     pub fn read_uint(&self, addr: u64, len: u64) -> Result<u64, MemFault> {
-        let b = self.read(addr, len)?;
-        let mut v = 0u64;
-        for (i, byte) in b.iter().enumerate() {
-            v |= (*byte as u64) << (8 * i);
+        let le = |b: &[u8]| {
+            let mut v = 0u64;
+            for (i, byte) in b.iter().enumerate() {
+                v |= (*byte as u64) << (8 * i);
+            }
+            v
+        };
+        match self.borrow(addr, len) {
+            Some(b) => Ok(le(b)),
+            None => self.read(addr, len).map(|b| le(&b)),
         }
-        Ok(v)
     }
 
     /// Write the low `len` bytes of `v` little-endian at `addr`.
@@ -420,20 +516,14 @@ impl Memory {
         self.rodata_used() + self.data_used() + self.heap_high_water + stack_used
     }
 
-    /// Bytes of rodata capacity counted as resident. Tracked precisely
-    /// by the loader via [`Memory::set_rodata_used`].
+    /// Bytes of rodata counted as resident: the loaded image's length.
     pub fn rodata_used(&self) -> u64 {
-        self.rodata_used
+        self.rodata.len() as u64
     }
 
     /// Bytes of data counted as resident.
     pub fn data_used(&self) -> u64 {
         self.data_used
-    }
-
-    /// Loader: record how many rodata bytes are actually occupied.
-    pub fn set_rodata_used(&mut self, n: u64) {
-        self.rodata_used = n;
     }
 
     /// Loader: record how many data bytes are actually occupied.
@@ -443,7 +533,7 @@ impl Memory {
 
     /// Base of the stack segment (lowest valid stack address).
     pub fn stack_base(&self) -> u64 {
-        self.stack.base()
+        self.stack.base
     }
 
     /// Capacity of the heap segment in bytes.
@@ -451,30 +541,27 @@ impl Memory {
         self.heap.bytes.len() as u64
     }
 
-    /// Return the address space to its freshly-allocated state: all
-    /// segments zeroed (only dirty spans are touched) and every
-    /// high-water accounting mark cleared. The loader image is *not*
-    /// reinstalled — callers re-blit globals afterwards, exactly like
+    /// Return the writable segments to their freshly-allocated state:
+    /// data, heap and stack zeroed (only dirty spans are touched) and
+    /// every high-water accounting mark cleared. Rodata is the shared
+    /// image and stays as it is. The data initializers are *not*
+    /// reinstalled — callers re-blit them afterwards, exactly like
     /// `Vm` construction does. This is the backbone of cheap session
     /// respawns: a resident tenant that touched 40 KB of an 8 MB stack
     /// pays for 40 KB.
     pub fn reset(&mut self) {
-        self.rodata.wipe();
         self.data.wipe();
         self.heap.wipe();
         self.stack.wipe();
         self.stack_low_water = layout::STACK_TOP;
         self.heap_high_water = 0;
-        self.rodata_used = 0;
         self.data_used = 0;
     }
 
     /// Whether `addr..addr+len` is in a *writable* segment — the memory
     /// an attacker with full data-memory control may corrupt (§III-B).
     pub fn attacker_writable(&self, addr: u64, len: u64) -> bool {
-        self.data.contains(addr, len)
-            || self.heap.contains(addr, len)
-            || self.stack.contains(addr, len)
+        self.segment_for(addr, len).is_some()
     }
 }
 
@@ -495,14 +582,76 @@ mod tests {
         assert_eq!(m.read_uint(addr, 4).unwrap(), 0xbeef_cafe);
     }
 
+    /// A memory whose rodata image is 24 bytes with `0xcc` at 16..24.
+    fn mem_with_image() -> Memory {
+        let mut image = vec![0u8; 24];
+        image[16..].fill(0xcc);
+        Memory::with_rodata(MemConfig::default(), image.into())
+    }
+
     #[test]
     fn rodata_rejects_program_writes() {
-        let mut m = mem();
-        let addr = layout::RODATA_BASE + 8;
+        let mut m = mem_with_image();
+        let addr = layout::RODATA_BASE + 16;
         assert!(m.write(addr, &[1]).is_err());
-        // But the loader can initialize it.
-        m.write_init(addr, &[7]).unwrap();
-        assert_eq!(m.read(addr, 1).unwrap()[0], 7);
+        // The image supplied at construction is what reads see.
+        assert_eq!(m.read(addr, 1).unwrap()[0], 0xcc);
+    }
+
+    #[test]
+    fn reads_past_the_rodata_image_see_zeros() {
+        let m = mem_with_image();
+        // Straddling the image end into the capacity tail.
+        assert_eq!(
+            m.read_uint(layout::RODATA_BASE + 20, 8).unwrap(),
+            0xcccc_cccc
+        );
+        assert_eq!(
+            &*m.read(layout::RODATA_BASE + 22, 4).unwrap(),
+            &[0xcc, 0xcc, 0, 0]
+        );
+        // Wholly inside the tail.
+        assert_eq!(m.read_uint(layout::RODATA_BASE + 4096, 8).unwrap(), 0);
+        // Past the capacity still faults.
+        let end = layout::RODATA_BASE + MemConfig::default().rodata_size as u64;
+        assert!(m.read(end - 4, 8).is_err());
+        assert_eq!(m.rodata_used(), 24);
+    }
+
+    #[test]
+    fn fill_and_copy_work_in_place() {
+        let mut m = mem_with_image();
+        let a = layout::DATA_BASE + 64;
+        m.fill(a, 0x5a, 16).unwrap();
+        assert_eq!(&*m.read(a, 16).unwrap(), &[0x5a; 16]);
+        // Overlapping copy inside one segment behaves like memmove.
+        m.write(a, b"abcdef").unwrap();
+        m.copy(a + 2, a, 6).unwrap();
+        assert_eq!(&*m.read(a, 8).unwrap(), b"ababcdef");
+        // Across segments, and out of rodata across the image end.
+        let s = layout::STACK_TOP - 256;
+        m.copy(s, a, 8).unwrap();
+        assert_eq!(&*m.read(s, 8).unwrap(), b"ababcdef");
+        m.copy(s, layout::RODATA_BASE + 20, 8).unwrap();
+        assert_eq!(
+            &*m.read(s, 8).unwrap(),
+            &[0xcc, 0xcc, 0xcc, 0xcc, 0, 0, 0, 0]
+        );
+        assert_eq!(m.peak_rss(), 24 + 256);
+    }
+
+    #[test]
+    fn fill_and_copy_fault_like_write_and_read() {
+        let mut m = mem();
+        let a = layout::DATA_BASE + 64;
+        let huge = (-15i64) as u64;
+        assert_eq!(m.fill(a, 0, huge), Err(m.fault(a, huge, true)));
+        let ro = layout::RODATA_BASE + 0x40;
+        assert_eq!(m.fill(ro, 0, 1), m.write(ro, &[0]));
+        // The source is checked first, then the destination.
+        assert_eq!(m.copy(a, a, huge), Err(m.fault(a, huge, false)));
+        assert_eq!(m.copy(ro, a, 4), Err(m.fault(ro, 4, true)));
+        assert_eq!(m.read(a, 4).unwrap(), &[0u8; 4][..]);
     }
 
     #[test]
@@ -536,7 +685,6 @@ mod tests {
     #[test]
     fn peak_rss_tracks_stack_low_water() {
         let mut m = mem();
-        m.set_rodata_used(0);
         m.set_data_used(0);
         assert_eq!(m.peak_rss(), 0);
         m.note_stack_pointer(layout::STACK_TOP - 4096);
@@ -614,20 +762,23 @@ mod tests {
 
     #[test]
     fn reset_zeroes_dirty_bytes_and_accounting() {
-        let mut m = mem();
+        let mut m = mem_with_image();
+        let image = Arc::clone(m.rodata_image());
         m.write(layout::DATA_BASE + 64, &[0xaa; 32]).unwrap();
         m.write(layout::STACK_TOP - 512, &[0xbb; 128]).unwrap();
-        m.write_init(layout::RODATA_BASE + 16, &[0xcc; 8]).unwrap();
-        m.set_rodata_used(24);
         m.set_data_used(96);
         m.note_heap_used(1000);
-        assert!(m.peak_rss() > 0);
+        assert!(m.peak_rss() > 24);
         m.reset();
         assert_eq!(m.read_uint(layout::DATA_BASE + 64, 8).unwrap(), 0);
         assert_eq!(m.read_uint(layout::STACK_TOP - 512, 8).unwrap(), 0);
-        assert_eq!(m.read(layout::RODATA_BASE + 16, 1).unwrap()[0], 0);
-        assert_eq!(m.peak_rss(), 0);
-        assert_eq!(m.rodata_used(), 0);
+        // Rodata is image-owned: reset leaves the very same bytes mapped,
+        // and they stay counted as resident.
+        assert!(Arc::ptr_eq(m.rodata_image(), &image));
+        assert_eq!(&*m.read(layout::RODATA_BASE, 24).unwrap(), &image[..]);
+        assert_eq!(m.read(layout::RODATA_BASE + 16, 1).unwrap()[0], 0xcc);
+        assert_eq!(m.peak_rss(), 24);
+        assert_eq!(m.rodata_used(), 24);
         assert_eq!(m.data_used(), 0);
     }
 

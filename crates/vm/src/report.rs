@@ -40,6 +40,8 @@ pub enum FaultClass {
     DataRace,
     /// Every thread blocked — the scheduler had nothing to run.
     Deadlock,
+    /// Missing entry function or wrong entry argument count.
+    BadEntry,
 }
 
 impl FaultClass {
@@ -57,6 +59,7 @@ impl FaultClass {
             FaultClass::Unreachable => "unreachable",
             FaultClass::DataRace => "data-race",
             FaultClass::Deadlock => "deadlock",
+            FaultClass::BadEntry => "bad-entry",
         }
     }
 
@@ -81,6 +84,7 @@ impl FaultKind {
             FaultKind::UnreachableExecuted => FaultClass::Unreachable,
             FaultKind::DataRace { .. } => FaultClass::DataRace,
             FaultKind::Deadlock => FaultClass::Deadlock,
+            FaultKind::BadEntry { .. } => FaultClass::BadEntry,
         }
     }
 }

@@ -61,7 +61,7 @@ fn attacker_cannot_write_rodata() {
     let addr = vm.global_addr("secret_fmt");
     assert!(vm.mem_mut().write(addr, &[0x41]).is_err());
     // But reading is allowed (the P-BOX is public).
-    assert_eq!(vm.mem().read(addr, 3).unwrap(), b"fmt");
+    assert_eq!(&*vm.mem().read(addr, 3).unwrap(), b"fmt");
 }
 
 #[test]

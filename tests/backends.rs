@@ -15,7 +15,10 @@ use smokestack_core::{harden, SmokestackConfig};
 use smokestack_defenses::DefenseKind;
 use smokestack_ir::Module;
 use smokestack_srng::SchemeKind;
-use smokestack_vm::{compiled_for, CostModel, ExecBackend, Executor, RunOutcome, ScriptedInput};
+use smokestack_vm::{
+    compiled_for, layout, CostModel, ExecBackend, Executor, Exit, FaultClass, FaultKind,
+    FaultLocus, MemConfig, RunOutcome, RunReport, ScriptedInput,
+};
 use smokestack_workloads::all;
 
 /// Run `main` once under `backend` with a replayable scripted input.
@@ -309,7 +312,7 @@ fn resident_sessions_identical_to_fresh_vms() {
         harden(&mut m, &SmokestackConfig::default()).expect("workload hardens");
         let module = Arc::new(m);
         for backend in [ExecBackend::Interp, ExecBackend::Bytecode] {
-            for scheme in [SchemeKind::Pseudo, SchemeKind::Aes10] {
+            for scheme in SchemeKind::ALL {
                 let exec = Executor::for_module(Arc::clone(&module))
                     .scheme(scheme)
                     .backend(backend)
@@ -383,4 +386,169 @@ fn compiled_cache_is_keyed_by_module_and_cost() {
     // Executor sessions route through the same cache.
     let exec = Executor::for_module(Arc::clone(&m)).build();
     assert!(Arc::ptr_eq(&a, &exec.compiled()));
+}
+
+/// The resident geometry the serve engine gives tenant sessions.
+fn serve_mem() -> MemConfig {
+    MemConfig {
+        rodata_size: 1 << 20,
+        data_size: 1 << 20,
+        heap_size: 8 << 20,
+        stack_size: 4 << 20,
+    }
+}
+
+/// Rodata is one read-only image per compiled module: every VM of a
+/// (fleet, app) cell — resident tenant sessions in the serve geometry
+/// and the fresh VMs `Attack::attempt` spawns through `Build::vm` —
+/// maps the same allocation, and respawns never rewrite it.
+#[test]
+fn rodata_image_is_shared_by_every_vm_of_a_cell() {
+    let app = smokestack_serve::apps::by_name("librelp").expect("librelp is hosted");
+    let build = Build::new(
+        app.source,
+        DefenseKind::Smokestack(SchemeKind::Aes10),
+        0xce11,
+    );
+    let serve_exec = Executor::for_module(Arc::clone(build.module()))
+        .scheme(build.defense.scheme())
+        .mem(serve_mem())
+        .build();
+    let mut tenants = [serve_exec.session(), serve_exec.session()];
+    let attempt_vm = build.vm(0xa77);
+    let image = Arc::clone(attempt_vm.mem().rodata_image());
+    assert!(
+        image.len() > 200 << 10,
+        "the serialized P-BOX lives in rodata"
+    );
+    for t in &tenants {
+        assert!(Arc::ptr_eq(t.vm().mem().rodata_image(), &image));
+    }
+
+    for seed in 0..8u64 {
+        for t in &mut tenants {
+            let mut input = ScriptedInput::new(app.benign_chunks());
+            let out = t.run_main_configured(seed, build.run_offset(seed), &mut input);
+            assert_eq!(out.exit, Exit::Return(0), "benign request {seed}");
+        }
+    }
+    let fresh = serve_exec.vm();
+    let len = image.len() as u64;
+    for t in &tenants {
+        let mem = t.vm().mem();
+        assert!(Arc::ptr_eq(mem.rodata_image(), &image));
+        assert_eq!(
+            mem.read(layout::RODATA_BASE, len).unwrap(),
+            fresh.mem().read(layout::RODATA_BASE, len).unwrap()
+        );
+        assert_eq!(mem.rodata_used(), len);
+        // A read straddling the image end, from its last nonzero byte,
+        // sees the image tail, then the zeroed capacity past it.
+        let last = image
+            .iter()
+            .rposition(|&b| b != 0)
+            .expect("image is not all zero");
+        let n = image.len() - last;
+        let tail = mem
+            .read(layout::RODATA_BASE + last as u64, n as u64 + 4)
+            .unwrap();
+        assert_eq!(&tail[..n], &image[last..]);
+        assert_eq!(&tail[n..], &[0; 4]);
+        // A read past the configured capacity faults with the rodata
+        // locus.
+        let cap = serve_mem().rodata_size as u64;
+        let err = mem.read(layout::RODATA_BASE + cap - 4, 8).unwrap_err();
+        assert_eq!(
+            err.locus,
+            FaultLocus::Within {
+                segment: "rodata",
+                offset: cap - 4
+            }
+        );
+    }
+    // Program writes still fault inside rodata.
+    let mut fresh = fresh;
+    let err = fresh.mem_mut().write(layout::RODATA_BASE + 0x40, &[1]);
+    assert_eq!(
+        err.unwrap_err().locus,
+        FaultLocus::Within {
+            segment: "rodata",
+            offset: 0x40
+        }
+    );
+}
+
+/// Run `entry` of the MiniC program `src` on both backends, assert the
+/// two reports are identical, and return it.
+fn report_both(label: &str, src: &str, entry: &str, args: &[u64]) -> RunReport {
+    let module = Arc::new(smokestack_minic::compile(src).expect("program compiles"));
+    let [interp, bytecode] = [ExecBackend::Interp, ExecBackend::Bytecode].map(|backend| {
+        let exec = Executor::for_module(Arc::clone(&module))
+            .backend(backend)
+            .build();
+        RunReport::from(exec.run(entry, args, ScriptedInput::empty()))
+    });
+    assert_eq!(
+        interp, bytecode,
+        "{label}: reports diverged between backends"
+    );
+    interp
+}
+
+/// A negative `memset`/`memcpy` length is a write fault of that range,
+/// not a host allocation failure, on both backends.
+#[test]
+fn negative_bulk_lengths_fault_on_both_backends() {
+    let n = (-15i64) as u64;
+    for (call, write) in [
+        ("memset(buf, 0, -15)", true),
+        ("memcpy(buf, buf, -15)", false),
+    ] {
+        let src = format!("long main() {{ char buf[16]; buf[0] = 1; {call}; return buf[0]; }}");
+        let r = report_both(call, &src, "main", &[]);
+        let Exit::Fault(FaultKind::Mem(m)) = &r.exit else {
+            panic!("{call}: expected a memory fault, got {:?}", r.exit);
+        };
+        assert_eq!((m.len, m.write), (n, write), "{call}");
+        let class = if write {
+            FaultClass::MemWrite
+        } else {
+            FaultClass::MemRead
+        };
+        assert_eq!(r.fault, Some(class), "{call}");
+    }
+}
+
+/// Running a missing entry, or an entry with the wrong argument count,
+/// is a typed fault on both backends rather than a host panic.
+#[test]
+fn bad_entries_fault_on_both_backends() {
+    let src = "long main() { return 3; }";
+    let missing = report_both("missing entry", src, "nope", &[]);
+    assert_eq!(
+        missing.exit,
+        Exit::Fault(FaultKind::BadEntry {
+            entry: "nope".into(),
+            params: None,
+            args: 0
+        })
+    );
+    let arity = report_both("wrong arity", src, "main", &[1, 2]);
+    assert_eq!(
+        arity.exit,
+        Exit::Fault(FaultKind::BadEntry {
+            entry: "main".into(),
+            params: Some(0),
+            args: 2
+        })
+    );
+    for r in [&missing, &arity] {
+        assert_eq!(r.fault, Some(FaultClass::BadEntry));
+        assert_eq!(r.exit_class, "fault:bad-entry");
+        assert_eq!((r.decicycles, r.insts), (0, 0));
+    }
+    assert_eq!(
+        report_both("good entry", src, "main", &[]).exit_class,
+        "return:3"
+    );
 }
